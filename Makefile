@@ -22,18 +22,10 @@ lint:
 cover:
 	sh scripts/cover.sh
 
-# Race-test the packages with concurrent hot paths: the staircase build
-# fan-out, the batch estimation workers, the engine's once-per-artifact
-# builds, the WAL's group-commit fsync batching, the relation store's build
-# pool, delta overlays, and hot-swap publication, the HTTP batch endpoint,
-# the robustness middleware, the fault-injection harness, the daemon's
-# signal-driven drain, the oracle differential suite (which runs batches
-# against live hot-swaps), the shard tier's scatter-gather, hedging,
-# breaker, and mirror-on-demand machinery, the optimizer's single-flight
-# plan cache under concurrent misses and invalidations, and the bounds-only
-# AkNN join (whose summaries are shared across snapshot readers).
+# Race-test the packages with concurrent hot paths (the package list and
+# why each is on it live in scripts/check.sh).
 race:
-	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/aknn/... ./internal/wal/... ./internal/store/... ./internal/optimizer/... ./internal/service/... ./internal/faultinject/... ./internal/oracle/... ./internal/shard/... ./cmd/knncostd/...
+	GO=$(GO) sh scripts/check.sh race
 
 # One iteration of every benchmark: catches benchmarks that panic or
 # regress to building their fixture per op, without the full measurement
@@ -41,37 +33,22 @@ race:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# The gate run by scripts/check.sh and documented in README.md.
-check: vet
-	$(MAKE) lint
-	$(GO) test ./...
-	$(GO) test -race ./internal/core/... ./internal/engine/... ./internal/aknn/... ./internal/wal/... ./internal/store/... ./internal/optimizer/... ./internal/service/... ./internal/faultinject/... ./internal/oracle/... ./internal/shard/... ./cmd/knncostd/...
-	$(GO) test -run xxx -bench 'BenchmarkEstimateSelectHot|BenchmarkStaircaseBuildAlloc|BenchmarkFig13SelectPreprocessCC' -benchtime 1x .
-	$(MAKE) cover
-	sh scripts/soak.sh shard
-	sh scripts/soak.sh ingest
-	sh scripts/soak.sh plan
-	sh scripts/soak.sh mmap
-	$(MAKE) accuracy
-	$(MAKE) fuzz-smoke
+# The repository gate, documented in README.md. scripts/check.sh is its
+# only definition: vet, lint, full tests, race, benchmark smoke, coverage
+# floors, the soak smokes, accuracy, and fuzz smoke.
+check:
+	GO=$(GO) sh scripts/check.sh
 
-# Estimator-accuracy regression gate: audit every estimation technique
-# against the brute-force oracle, print the per-technique pass/fail table,
-# and fail if an exact-equality invariant breaks or a q-error quantile
-# degrades beyond 10% of results/ACCURACY_BASELINE.json. Refresh the golden
-# file with:
-#   go run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json -update-baseline
+# Estimator-accuracy regression gate against
+# results/ACCURACY_BASELINE.json (see scripts/check.sh for how to refresh
+# the baseline).
 accuracy:
-	$(GO) run ./cmd/knnbench -accuracy -baseline results/ACCURACY_BASELINE.json
+	GO=$(GO) sh scripts/check.sh accuracy
 
-# Short fuzz smoke of the differential fuzz targets (the seed corpus also
-# runs on every plain `go test`).
+# Short fuzz smoke of the differential and loader fuzz targets (the seed
+# corpus also runs on every plain `go test`).
 fuzz-smoke:
-	$(GO) test -run xxx -fuzz FuzzEstimateSelect -fuzztime 2s ./internal/oracle/
-	$(GO) test -run xxx -fuzz FuzzJoinCost -fuzztime 2s ./internal/oracle/
-	$(GO) test -run xxx -fuzz 'FuzzAknnJoin$$' -fuzztime 2s ./internal/aknn/
-	$(GO) test -run xxx -fuzz FuzzAknnBoundsEstimate -fuzztime 2s ./internal/aknn/
-	$(GO) test -run xxx -fuzz FuzzLoadAknnSummary -fuzztime 2s ./internal/aknn/
+	GO=$(GO) sh scripts/check.sh fuzz-smoke
 
 # Boot a real knncostd, burst the batch endpoint, SIGTERM it, and assert a
 # clean drain and exit 0 — the end-to-end smoke of the robustness layer.

@@ -203,24 +203,43 @@ func (v *VirtualGridEstimator) MaxK() int { return v.vg.MaxK() }
 func (v *VirtualGridEstimator) WriteTo(w io.Writer) (int64, error) { return v.vg.WriteTo(w) }
 
 // LoadStaircaseEstimator reloads a staircase estimator previously saved
-// with its WriteTo method. ix must be the same index the estimator was
-// built on (a fingerprint in the file is checked); opt supplies only the
-// fallback and, for R-tree indexes, the auxiliary capacity.
+// with its WriteTo method (the KNCSMAP format). The whole stream is read
+// and the catalogs borrow that buffer in place. ix must be the same index
+// the estimator was built on (a fingerprint in the file is checked); opt
+// supplies only the fallback and, for R-tree indexes, the auxiliary
+// capacity. Files in the earlier varint format (KNCS) are rejected.
 func LoadStaircaseEstimator(ix *Index, r io.Reader, opt StaircaseOptions) (*StaircaseEstimator, error) {
-	return core.LoadStaircase(ix.tree, r, opt)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return core.LoadStaircase(ix.tree, raw, opt)
 }
 
 // LoadCatalogMergeEstimator reloads a Catalog-Merge estimator previously
-// saved with its WriteTo method. It is standalone: no index is required.
+// saved with its WriteTo method (the KNCMMAP format). The whole stream is
+// read and the catalog borrows that buffer in place. It is standalone: no
+// index is required. Files in the earlier varint format (KNCM) are
+// rejected.
 func LoadCatalogMergeEstimator(r io.Reader) (*CatalogMergeEstimator, error) {
-	return core.LoadCatalogMerge(r)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	return core.LoadCatalogMerge(raw)
 }
 
 // LoadVirtualGridEstimator reloads a Virtual-Grid estimator previously
-// saved with WriteTo. It is standalone: estimation needs only the outer
-// relation passed to EstimateJoin.
+// saved with WriteTo (the KNVGMAP format). The whole stream is read and the
+// per-cell catalogs borrow that buffer in place. It is standalone:
+// estimation needs only the outer relation passed to EstimateJoin. Files
+// in the earlier varint format (KNVG) are rejected.
 func LoadVirtualGridEstimator(r io.Reader) (*VirtualGridEstimator, error) {
-	vg, err := core.LoadVirtualGrid(r)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	vg, err := core.LoadVirtualGrid(raw)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"knncost/internal/pqueue"
 )
@@ -196,10 +195,12 @@ func MergeMax(cats []*Catalog) (*Catalog, error) {
 // marshal format: uvarint entry count, then per entry uvarint(EndK delta
 // from previous EndK) and uvarint(Cost). StartK values are implied by
 // contiguity, so each entry costs only a few bytes — this is the storage the
-// experiments of §5 account for.
+// experiments of §5 account for. It is a size metric, not a file format:
+// persisted catalogs use the aligned encoding (aligned.go), and nothing
+// decodes this one.
 const marshalHeader = byte(0x01) // format version
 
-// MarshalBinary encodes the catalog compactly.
+// MarshalBinary encodes the catalog compactly; StorageBytes is its length.
 func (c *Catalog) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 1, 1+10*len(c.entries))
 	buf[0] = marshalHeader
@@ -211,59 +212,6 @@ func (c *Catalog) MarshalBinary() ([]byte, error) {
 		prevEnd = e.EndK
 	}
 	return buf, nil
-}
-
-// UnmarshalBinary decodes a catalog encoded by MarshalBinary.
-func (c *Catalog) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 || data[0] != marshalHeader {
-		return errors.New("catalog: bad header")
-	}
-	data = data[1:]
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return errors.New("catalog: truncated entry count")
-	}
-	data = data[sz:]
-	// Every entry costs at least two bytes (one per uvarint), so a count
-	// beyond len(data)/2 is a hostile or corrupt length field; reject it
-	// before it sizes an allocation.
-	if n > uint64(len(data)/2) {
-		return errors.New("catalog: entry count exceeds payload")
-	}
-	entries := make([]Entry, 0, n)
-	prevEnd := 0
-	for i := uint64(0); i < n; i++ {
-		delta, sz := binary.Uvarint(data)
-		if sz <= 0 {
-			return errors.New("catalog: truncated end delta")
-		}
-		data = data[sz:]
-		cost, sz2 := binary.Uvarint(data)
-		if sz2 <= 0 {
-			return errors.New("catalog: truncated cost")
-		}
-		data = data[sz2:]
-		// Well-formed catalogs have strictly increasing interval ends and
-		// costs that fit comfortably in an int; anything else would break
-		// the binary-search invariant Lookup relies on (or overflow EndK).
-		if delta == 0 {
-			return errors.New("catalog: non-increasing interval end")
-		}
-		if delta > math.MaxInt32 || uint64(prevEnd)+delta > math.MaxInt32 {
-			return errors.New("catalog: interval end overflows")
-		}
-		if cost > math.MaxInt32 {
-			return errors.New("catalog: cost overflows")
-		}
-		end := prevEnd + int(delta)
-		entries = append(entries, Entry{StartK: prevEnd + 1, EndK: end, Cost: int(cost)})
-		prevEnd = end
-	}
-	if len(data) != 0 {
-		return errors.New("catalog: trailing bytes")
-	}
-	c.entries = entries
-	return nil
 }
 
 // StorageBytes returns the size of the binary encoding — the storage

@@ -244,26 +244,31 @@ func TestMergeMatchesNaiveProperty(t *testing.T) {
 	}
 }
 
-// Property: binary round-trip preserves the catalog exactly.
+// Property: the aligned encoding round-trips the catalog exactly, both
+// when the entries are borrowed in place and when a misaligned input forces
+// the decoding fallback; StorageBytes is the length of the varint encoding.
 func TestMarshalRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
 		local := rand.New(rand.NewSource(seed))
 		c := randomCatalog(local, 10+local.Intn(5000))
 		data, err := c.MarshalBinary()
-		if err != nil {
+		if err != nil || c.StorageBytes() != len(data) {
 			return false
 		}
-		var back Catalog
-		if back.UnmarshalBinary(data) != nil {
-			return false
-		}
-		if back.Len() != c.Len() || back.MaxK() != c.MaxK() {
-			return false
-		}
-		for i, e := range c.Entries() {
-			if back.Entries()[i] != e {
+		enc := c.AppendAligned(make([]byte, 1, 1+c.AlignedSize()))
+		for _, raw := range [][]byte{enc[1:], append([]byte(nil), enc[1:]...)} {
+			var back Catalog
+			if n, err := back.BorrowAligned(raw); err != nil || n != c.AlignedSize() {
 				return false
+			}
+			if back.Len() != c.Len() || back.MaxK() != c.MaxK() {
+				return false
+			}
+			for i, e := range c.Entries() {
+				if back.Entries()[i] != e {
+					return false
+				}
 			}
 		}
 		return true
@@ -271,25 +276,6 @@ func TestMarshalRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var c Catalog
-	for _, data := range [][]byte{nil, {0x99}, {marshalHeader, 0x05}, append(func() []byte {
-		b, _ := paperCatalogForMarshal().MarshalBinary()
-		return b
-	}(), 0x00)} {
-		if err := c.UnmarshalBinary(data); err == nil {
-			t.Errorf("UnmarshalBinary(%v) should fail", data)
-		}
-	}
-}
-
-func paperCatalogForMarshal() *Catalog {
-	c := &Catalog{}
-	_ = c.Append(1, 520, 3)
-	_ = c.Append(521, 675, 7)
-	return c
 }
 
 func TestStorageBytesCompact(t *testing.T) {

@@ -14,23 +14,32 @@ import (
 	"knncost/internal/ptloc"
 )
 
-// Mapped persistence: the zero-copy counterpart of persist.go. The varint
-// format (KNCS/KNCM/KNVG) optimizes for size; the mapped format optimizes
-// for load time — every field is a fixed-width little-endian uint64 and
-// every catalog is stored in the aligned encoding of
-// catalog.AppendAligned, so a loader handed the mmap'd file bytes borrows
-// the catalogs in place instead of decoding them onto the heap. All
-// sections are multiples of 8 bytes, keeping each catalog 8-byte aligned
-// relative to the (page-aligned) mapping.
+// Catalog persistence: a query optimizer builds its statistics once and
+// keeps them across restarts. Staircase, CatalogMerge and VirtualGrid
+// serialize to one aligned format (magics KNCSMAP, KNCMMAP, KNVGMAP):
+// every header field is a fixed-width little-endian uint64 and every
+// catalog is stored in the aligned encoding of catalog.AppendAligned, so a
+// loader handed the file bytes borrows the catalogs in place instead of
+// decoding them onto the heap. All sections are multiples of 8 bytes,
+// keeping each catalog 8-byte aligned relative to the start of the bytes
+// (page-aligned for an mmap'd file, 8-aligned for a Go heap buffer).
+// Loading a Staircase requires the same data index (its catalogs attach to
+// that index's blocks, and the file records a fingerprint to catch
+// mismatches); CatalogMerge and VirtualGrid load standalone.
 //
-// Lifetime: artifacts loaded by the *Mapped loaders alias the input bytes.
-// The caller owns the mapping's lifetime and must keep it alive as long as
-// the artifact serves estimates; see internal/mmapfile.
+// Lifetime: loaded artifacts alias the input bytes. A heap buffer stays
+// alive through the borrowed slices; an mmap'd file must be pinned on the
+// artifact (see Pin and internal/mmapfile).
 
 const (
 	mappedMagicStaircase   = "KNCSMAP\x01"
 	mappedMagicCatalogMrg  = "KNCMMAP\x01"
 	mappedMagicVirtualGrid = "KNVGMAP\x01"
+
+	// maxSaneK bounds the MaxK a loader accepts. Catalog-maintained k values
+	// are "a practically large constant" (the paper uses 10,000); 2^32 is far
+	// beyond any of them while still rejecting hostile header fields early.
+	maxSaneK = 1 << 32
 )
 
 // Pin attaches ref (typically the *mmapfile.File whose bytes the artifact's
@@ -132,9 +141,9 @@ func (m *mappedReader) done() error {
 	return nil
 }
 
-// WriteMapped serializes the staircase in the mapped format. The
-// companion LoadStaircaseMapped must be given the same data index.
-func (s *Staircase) WriteMapped(w io.Writer) (int64, error) {
+// WriteTo serializes the staircase catalogs. The companion LoadStaircase
+// must be given the same data index.
+func (s *Staircase) WriteTo(w io.Writer) (int64, error) {
 	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<16)}
 	m.buf = append(m.buf, mappedMagicStaircase...)
 	m.u64(uint64(s.mode))
@@ -156,12 +165,15 @@ func (s *Staircase) WriteMapped(w io.Writer) (int64, error) {
 	return m.n, m.err
 }
 
-// LoadStaircaseMapped reconstructs a staircase from the raw bytes of a
-// WriteMapped file against the same data index, borrowing the catalogs in
-// place. raw must stay alive (unmapped last) as long as the staircase
-// serves estimates. Validation mirrors LoadStaircase: mode, MaxK and the
-// block/point fingerprints are checked before anything is sized by them.
-func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
+// LoadStaircase reconstructs a staircase from the raw bytes of a WriteTo
+// file against the same data index it was built on, borrowing the
+// catalogs in place. raw must stay alive (unmapped last) as long as the
+// staircase serves estimates. opt supplies only AuxCapacity (to rebuild
+// the auxiliary index for a non-partitioning data index) and Fallback;
+// mode and MaxK come from the file. Mode, MaxK and the block/point
+// fingerprints are checked before anything is sized by them, and a
+// fingerprint that does not match the index is an error.
+func LoadStaircase(data *index.Tree, raw []byte, opt StaircaseOptions) (*Staircase, error) {
 	m := &mappedReader{data: raw}
 	m.magic(mappedMagicStaircase)
 	mode := StaircaseMode(m.u64())
@@ -171,6 +183,9 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 	if m.err != nil {
 		return nil, m.err
 	}
+	// An unknown mode would leave the corners/quads slices nil and panic at
+	// estimation time, and a hostile maxK or block count must not drive
+	// allocations.
 	switch mode {
 	case ModeCenterCorners, ModeCenterOnly, ModeCenterQuadrant:
 	default:
@@ -227,8 +242,8 @@ func LoadStaircaseMapped(data *index.Tree, raw []byte, opt StaircaseOptions) (*S
 	return s, nil
 }
 
-// WriteMapped serializes the merged pair catalog in the mapped format.
-func (c *CatalogMerge) WriteMapped(w io.Writer) (int64, error) {
+// WriteTo serializes the merged pair catalog and its scale factor.
+func (c *CatalogMerge) WriteTo(w io.Writer) (int64, error) {
 	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<12)}
 	m.buf = append(m.buf, mappedMagicCatalogMrg...)
 	m.u64(uint64(c.maxK))
@@ -238,10 +253,11 @@ func (c *CatalogMerge) WriteMapped(w io.Writer) (int64, error) {
 	return m.n, m.err
 }
 
-// LoadCatalogMergeMapped reconstructs a CatalogMerge from the raw bytes
-// of a WriteMapped file, borrowing the catalog in place. raw must stay
-// alive as long as the estimator serves estimates.
-func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
+// LoadCatalogMerge reconstructs a CatalogMerge from the raw bytes of a
+// WriteTo file, borrowing the catalog in place. It is fully standalone: no
+// index is needed at estimation time. raw must stay alive as long as the
+// estimator serves estimates.
+func LoadCatalogMerge(raw []byte) (*CatalogMerge, error) {
 	m := &mappedReader{data: raw}
 	m.magic(mappedMagicCatalogMrg)
 	maxK := int(m.u64())
@@ -259,8 +275,9 @@ func LoadCatalogMergeMapped(raw []byte) (*CatalogMerge, error) {
 	return &CatalogMerge{merged: merged, scale: scale, maxK: maxK}, nil
 }
 
-// WriteMapped serializes the virtual grid in the mapped format.
-func (v *VirtualGrid) WriteMapped(w io.Writer) (int64, error) {
+// WriteTo serializes the virtual grid: dimensions, MaxK, bounds and the
+// per-cell catalogs.
+func (v *VirtualGrid) WriteTo(w io.Writer) (int64, error) {
 	m := &mappedWriter{w: w, buf: make([]byte, 0, 1<<16)}
 	m.buf = append(m.buf, mappedMagicVirtualGrid...)
 	m.u64(uint64(v.nx))
@@ -277,10 +294,11 @@ func (v *VirtualGrid) WriteMapped(w io.Writer) (int64, error) {
 	return m.n, m.err
 }
 
-// LoadVirtualGridMapped reconstructs a VirtualGrid from the raw bytes of
-// a WriteMapped file, borrowing the per-cell catalogs in place. raw must
-// stay alive as long as the estimator serves estimates.
-func LoadVirtualGridMapped(raw []byte) (*VirtualGrid, error) {
+// LoadVirtualGrid reconstructs a VirtualGrid from the raw bytes of a
+// WriteTo file, borrowing the per-cell catalogs in place. It is fully
+// standalone: estimation needs only the outer relation. raw must stay
+// alive as long as the estimator serves estimates.
+func LoadVirtualGrid(raw []byte) (*VirtualGrid, error) {
 	m := &mappedReader{data: raw}
 	m.magic(mappedMagicVirtualGrid)
 	nx := int(m.u64())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"knncost/internal/geom"
+	"knncost/internal/rtree"
 )
 
 // TestStaircaseMappedRoundTrip: the mapped (zero-copy) format must be
@@ -23,16 +24,16 @@ func TestStaircaseMappedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		n, err := orig.WriteMapped(&buf)
+		n, err := orig.WriteTo(&buf)
 		if err != nil {
-			t.Fatalf("%v WriteMapped: %v", mode, err)
+			t.Fatalf("%v WriteTo: %v", mode, err)
 		}
 		if n != int64(buf.Len()) {
-			t.Errorf("%v: WriteMapped reported %d bytes, wrote %d", mode, n, buf.Len())
+			t.Errorf("%v: WriteTo reported %d bytes, wrote %d", mode, n, buf.Len())
 		}
-		loaded, err := LoadStaircaseMapped(data, buf.Bytes(), StaircaseOptions{})
+		loaded, err := LoadStaircase(data, buf.Bytes(), StaircaseOptions{})
 		if err != nil {
-			t.Fatalf("%v LoadStaircaseMapped: %v", mode, err)
+			t.Fatalf("%v LoadStaircase: %v", mode, err)
 		}
 		if got, want := loaded.Resolution(), orig.Resolution(); got != want {
 			t.Fatalf("%v: resolution round trip: got %+v, want %+v", mode, got, want)
@@ -68,10 +69,10 @@ func TestCatalogMergeMappedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteMapped(&buf); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCatalogMergeMapped(buf.Bytes())
+	loaded, err := LoadCatalogMerge(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +98,10 @@ func TestVirtualGridMappedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteMapped(&buf); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadVirtualGridMapped(buf.Bytes())
+	loaded, err := LoadVirtualGrid(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,13 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 	}
 
 	var sb, vb, cb bytes.Buffer
-	if _, err := stair.WriteMapped(&sb); err != nil {
+	if _, err := stair.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vg.WriteMapped(&vb); err != nil {
+	if _, err := vg.WriteTo(&vb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cm.WriteMapped(&cb); err != nil {
+	if _, err := cm.WriteTo(&cb); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,15 +156,15 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		load func([]byte) error
 	}{
 		{"staircase", sb.Bytes(), func(raw []byte) error {
-			_, err := LoadStaircaseMapped(data, raw, StaircaseOptions{})
+			_, err := LoadStaircase(data, raw, StaircaseOptions{})
 			return err
 		}},
 		{"virtual-grid", vb.Bytes(), func(raw []byte) error {
-			_, err := LoadVirtualGridMapped(raw)
+			_, err := LoadVirtualGrid(raw)
 			return err
 		}},
 		{"catalog-merge", cb.Bytes(), func(raw []byte) error {
-			_, err := LoadCatalogMergeMapped(raw)
+			_, err := LoadCatalogMerge(raw)
 			return err
 		}},
 	}
@@ -184,5 +185,96 @@ func TestMappedLoadersRejectCorruptInput(t *testing.T) {
 		if err := l.load(flipped); err == nil {
 			t.Fatalf("%s: corrupt magic loaded without error", l.name)
 		}
+	}
+}
+
+// TestLoadCorruptData: empty input, a foreign magic, the header of the
+// retired varint format (four-byte magic + uvarint version) and a
+// truncated staircase file all fail to load.
+func TestLoadCorruptData(t *testing.T) {
+	if _, err := LoadCatalogMerge(nil); err == nil {
+		t.Error("empty input should fail")
+	}
+	if _, err := LoadCatalogMerge([]byte("XXXX\x01")); err == nil {
+		t.Error("bad magic should fail")
+	}
+	if _, err := LoadVirtualGrid([]byte("KNVG\x02")); err == nil {
+		t.Error("bad version should fail")
+	}
+	rng := rand.New(rand.NewSource(36))
+	bounds := geom.NewRect(0, 0, 10, 10)
+	data := buildIx(randPoints(rng, 200, bounds), bounds, 16)
+	if _, err := LoadStaircase(data, []byte("KNCS\x01"), StaircaseOptions{}); err == nil {
+		t.Error("varint-format staircase header should fail")
+	}
+	if _, err := LoadCatalogMerge([]byte("KNCM\x01")); err == nil {
+		t.Error("varint-format catalog-merge header should fail")
+	}
+	s, err := BuildStaircase(data, StaircaseOptions{MaxK: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	trunc := buf.Bytes()[:buf.Len()/2]
+	if _, err := LoadStaircase(data, trunc, StaircaseOptions{}); err == nil {
+		t.Error("truncated staircase file should fail")
+	}
+}
+
+func TestStaircaseLoadRejectsWrongIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	bounds := geom.NewRect(0, 0, 50, 50)
+	data := buildIx(randPoints(rng, 1000, bounds), bounds, 32)
+	other := buildIx(randPoints(rng, 1500, bounds), bounds, 32)
+	s, err := BuildStaircase(data, StaircaseOptions{MaxK: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadStaircase(other, buf.Bytes(), StaircaseOptions{}); err == nil {
+		t.Error("loading against a different index must fail the fingerprint check")
+	}
+}
+
+func TestStaircaseRoundTripOnRTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	bounds := geom.NewRect(0, 0, 100, 100)
+	pts := clusteredPoints(rng, 2000, bounds)
+	rt, err := rtree.Build(pts, rtree.Options{LeafCapacity: 64, Fanout: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := rt.Index()
+	orig, err := BuildStaircase(data, StaircaseOptions{MaxK: 80, AuxCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The auxiliary quadtree is deterministic, so loading with the same
+	// AuxCapacity reproduces the estimator.
+	loaded, err := LoadStaircase(data, buf.Bytes(), StaircaseOptions{AuxCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pts[17]
+	a, err := orig.EstimateSelect(q, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loaded.EstimateSelect(q, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b {
+		t.Fatalf("estimates diverge: %g vs %g", a, b)
 	}
 }

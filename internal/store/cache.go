@@ -54,11 +54,11 @@ import (
 // vgrid.bin → virtual-grid.bin) and keyed merge files by technique.
 // Format 3 added the aknn-bounds summary artifact. Format 4 switched the
 // staircase, virtual-grid and merge artifacts to the aligned mapped
-// encodings (core.WriteMapped) served zero-copy from an mmap'd file, made
-// every fingerprint per-relation-resolution, and named the staircase file
-// after the mode the resolution selects. The version is part of every
-// fingerprint, so entries of older formats all miss and rebuild complete —
-// a format bump costs one rebuild, never an error.
+// encodings (the core WriteTo methods) served zero-copy from an mmap'd
+// file, made every fingerprint per-relation-resolution, and named the
+// staircase file after the mode the resolution selects. The version is
+// part of every fingerprint, so entries of older formats all miss and
+// rebuild complete — a format bump costs one rebuild, never an error.
 const cacheFormat = 4
 
 // manifest records the parameters a cached relation was built with. A
@@ -238,7 +238,7 @@ func (c *diskCache) loadRelation(fp string, tree *index.Tree, opt core.Staircase
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	stair, err := core.LoadStaircaseMapped(tree, sm.Data(), opt)
+	stair, err := core.LoadStaircase(tree, sm.Data(), opt)
 	if err != nil {
 		sm.Close()
 		return nil, nil, nil, fmt.Errorf("staircase: %w", err)
@@ -248,7 +248,7 @@ func (c *diskCache) loadRelation(fp string, tree *index.Tree, opt core.Staircase
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	vg, err := core.LoadVirtualGridMapped(vm.Data())
+	vg, err := core.LoadVirtualGrid(vm.Data())
 	if err != nil {
 		vm.Close()
 		return nil, nil, nil, fmt.Errorf("virtual grid: %w", err)
@@ -279,13 +279,13 @@ func (c *diskCache) storeRelation(fp string, m manifest, pts []geom.Point, stair
 		return fmt.Errorf("points: %w", err)
 	}
 	if err := writeAtomic(c.artifactPath(fp, staircaseFile(res)), func(f *os.File) error {
-		_, err := stair.WriteMapped(f)
+		_, err := stair.WriteTo(f)
 		return err
 	}); err != nil {
 		return fmt.Errorf("staircase: %w", err)
 	}
 	if err := writeAtomic(c.artifactPath(fp, engine.TechVirtualGrid), func(f *os.File) error {
-		_, err := vg.WriteMapped(f)
+		_, err := vg.WriteTo(f)
 		return err
 	}); err != nil {
 		return fmt.Errorf("virtual grid: %w", err)
@@ -309,7 +309,7 @@ func (c *diskCache) loadMerge(fpOuter, fpInner string) (*core.CatalogMerge, erro
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.LoadCatalogMergeMapped(mf.Data())
+	m, err := core.LoadCatalogMerge(mf.Data())
 	if err != nil {
 		mf.Close()
 		return nil, err
@@ -320,7 +320,7 @@ func (c *diskCache) loadMerge(fpOuter, fpInner string) (*core.CatalogMerge, erro
 
 func (c *diskCache) storeMerge(fpOuter, fpInner string, m *core.CatalogMerge) error {
 	return writeAtomic(c.mergePath(fpOuter, fpInner), func(f *os.File) error {
-		_, err := m.WriteMapped(f)
+		_, err := m.WriteTo(f)
 		return err
 	})
 }
