@@ -12,8 +12,9 @@ import (
 // browserPool recycles distance-browsing state across Procedure 1 runs: the
 // blocks-queue and tuples-queue a browser grows while simulating one anchor
 // are reused for the next anchor instead of being reallocated. Staircase
-// builds run Procedure 1 five times per block across many goroutines, so the
-// pool is what makes preprocessing allocation-light.
+// builds run Procedure 1 once per block center plus once per distinct block
+// corner across many goroutines, so the pool is what makes preprocessing
+// allocation-light.
 //
 // Pooling invariant: a Browser taken from the pool is used by exactly one
 // goroutine and returned before the building function exits — it must never
@@ -30,23 +31,12 @@ var browserPool = sync.Pool{New: func() any { return new(knn.Browser) }}
 // assigned the cost of scanning the whole index (distance browsing will
 // have consumed every block by then).
 func BuildSelectCatalog(data *index.Tree, q geom.Point, maxK int) *catalog.Catalog {
+	cat := &catalog.Catalog{}
+	if maxK < 1 {
+		return cat
+	}
 	browser := browserPool.Get().(*knn.Browser)
 	defer browserPool.Put(browser)
-	cat := &catalog.Catalog{}
-	buildSelectCatalogInto(cat, browser, data, q, maxK)
-	return cat
-}
-
-// buildSelectCatalogInto is Procedure 1 with caller-owned state: the result
-// is written into cat (reset first, capacity retained) and the traversal
-// reuses browser's queues. It is the per-anchor step of the staircase
-// builder, which re-seeds one pooled browser for all five anchors of a
-// block.
-func buildSelectCatalogInto(cat *catalog.Catalog, browser *knn.Browser, data *index.Tree, q geom.Point, maxK int) {
-	cat.Reset()
-	if maxK < 1 {
-		return
-	}
 	browser.Reset(data, q)
 	startK := 1
 	currentCost := -1
@@ -78,6 +68,7 @@ func buildSelectCatalogInto(cat *catalog.Catalog, browser *knn.Browser, data *in
 		// Fewer than maxK points: every block has been scanned.
 		mustAppend(cat, startK, maxK, data.NumBlocks())
 	}
+	return cat
 }
 
 // mustAppend appends an interval that is contiguous by construction; a

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,7 +11,6 @@ import (
 	"knncost/internal/catalog"
 	"knncost/internal/geom"
 	"knncost/internal/index"
-	"knncost/internal/knn"
 	"knncost/internal/ptloc"
 	"knncost/internal/quadtree"
 )
@@ -22,7 +22,9 @@ const (
 	// ModeCenterCorners estimates with Equations 1–2: the center-catalog
 	// cost interpolated toward the corners-catalog cost by the query
 	// point's distance from the block center. Higher accuracy, two
-	// lookups, five catalogs built per block (merged to two).
+	// lookups, two catalogs kept per block: the center's and the max-merge
+	// of its four corners'. One catalog is built per center plus one per
+	// distinct corner, since neighbouring blocks share corners.
 	ModeCenterCorners StaircaseMode = iota
 	// ModeCenterOnly estimates with the center-catalog alone: one lookup,
 	// one catalog per block, slightly lower accuracy.
@@ -71,7 +73,7 @@ type StaircaseOptions struct {
 	// index bounds. Nil means a DensityBased estimator over the data
 	// index's Count-Index, matching Figure 5.
 	Fallback SelectEstimator
-	// Parallelism is the number of goroutines building per-block catalogs
+	// Parallelism is the number of goroutines building catalogs
 	// concurrently. Zero means GOMAXPROCS; 1 forces a serial build.
 	// Catalogs are independent, so the result is identical regardless.
 	Parallelism int
@@ -97,25 +99,18 @@ type Staircase struct {
 	pin      any // keeps a borrowed mapping alive; see Pin
 }
 
-// stairScratch is the per-goroutine working set of the staircase builder:
-// one re-seedable browser plus four scratch catalogs for the corner
-// temporaries that are discarded after the max-merge. Pooling it means a
-// build allocates only what it retains (the per-block center/corner
-// catalogs), not per-anchor traversal state. A pooled scratch must not
-// escape the goroutine that took it.
-type stairScratch struct {
-	browser knn.Browser
-	corner  [4]catalog.Catalog
-	cats    [4]*catalog.Catalog
-}
-
-var stairScratchPool = sync.Pool{New: func() any { return new(stairScratch) }}
-
 // BuildStaircase precomputes the staircase catalogs for the given data
 // index. When the data index is space-partitioning (quadtree, grid) the
 // catalogs attach to its own blocks; otherwise (R-tree) a quadtree auxiliary
 // index is built over the same points, as §3.3 prescribes, so that every
 // query point falls inside some block.
+//
+// A catalog is a pure function of (data, anchor, MaxK), and neighbouring
+// blocks share corners, so the build runs in two passes: Procedure 1 runs
+// once per anchor (every block center, plus each distinct corner once),
+// then each block takes its center catalog and either max-merges its four
+// corner catalogs (ModeCenterCorners) or points its quadrant slots at them
+// (ModeCenterQuadrant).
 func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) {
 	if data.NumBlocks() == 0 {
 		return nil, errors.New("core: cannot build staircase over empty index")
@@ -140,47 +135,81 @@ func BuildStaircase(data *index.Tree, opt StaircaseOptions) (*Staircase, error) 
 	if s.fallback == nil {
 		s.fallback = NewDensityBased(data.CountTree())
 	}
+	blocks := aux.Blocks()
+	withCorners := opt.Mode == ModeCenterCorners || opt.Mode == ModeCenterQuadrant
+	anchors, cornerOf := staircaseAnchors(blocks, withCorners)
+	cats := make([]*catalog.Catalog, len(anchors))
+	if err := forEachIndexed(len(anchors), opt.Parallelism, func(i int) error {
+		cats[i] = procedure1(data, anchors[i], opt.MaxK)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
 	s.center = make([]*catalog.Catalog, aux.NumBlocks())
+	copy(s.center, cats) // the first len(blocks) anchors are the centers
 	switch opt.Mode {
 	case ModeCenterCorners:
 		s.corners = make([]*catalog.Catalog, aux.NumBlocks())
-	case ModeCenterQuadrant:
-		s.quads = make([][4]*catalog.Catalog, aux.NumBlocks())
-	}
-	buildBlock := func(b *index.Block) error {
-		// One pooled scratch serves all five anchors of the block: the
-		// browser is re-seeded per anchor and the four corner catalogs are
-		// built into reusable scratch space, since only their max-merge is
-		// retained.
-		scratch := stairScratchPool.Get().(*stairScratch)
-		defer stairScratchPool.Put(scratch)
-		center := &catalog.Catalog{}
-		buildSelectCatalogInto(center, &scratch.browser, data, b.Bounds.Center(), opt.MaxK)
-		s.center[b.ID] = center
-		switch opt.Mode {
-		case ModeCenterCorners:
-			for i, c := range b.Bounds.Corners() {
-				buildSelectCatalogInto(&scratch.corner[i], &scratch.browser, data, c, opt.MaxK)
-				scratch.cats[i] = &scratch.corner[i]
+		err := forEachBlock(blocks, opt.Parallelism, func(b *index.Block) error {
+			var four [4]*catalog.Catalog
+			for j, a := range cornerOf[b.ID] {
+				four[j] = cats[a]
 			}
-			merged, err := catalog.MergeMax(scratch.cats[:])
+			merged, err := catalog.MergeMax(four[:])
 			if err != nil {
 				return fmt.Errorf("core: merging corner catalogs of block %d: %w", b.ID, err)
 			}
 			s.corners[b.ID] = merged
-		case ModeCenterQuadrant:
-			for i, c := range b.Bounds.Corners() {
-				quad := &catalog.Catalog{}
-				buildSelectCatalogInto(quad, &scratch.browser, data, c, opt.MaxK)
-				s.quads[b.ID][i] = quad
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	case ModeCenterQuadrant:
+		s.quads = make([][4]*catalog.Catalog, aux.NumBlocks())
+		for _, b := range blocks {
+			for j, a := range cornerOf[b.ID] {
+				s.quads[b.ID][j] = cats[a]
 			}
 		}
-		return nil
-	}
-	if err := forEachBlock(aux.Blocks(), opt.Parallelism, buildBlock); err != nil {
-		return nil, err
 	}
 	return s, nil
+}
+
+// procedure1 is the per-anchor catalog builder of BuildStaircase. It is
+// BuildSelectCatalog; tests swap it to count the browses a build runs.
+var procedure1 = BuildSelectCatalog
+
+// staircaseAnchors lists the points Procedure 1 runs from: blocks[i]'s
+// center at index i, then, when withCorners is set, each distinct corner
+// once. cornerOf maps a block ID to the anchor indexes of its four corners
+// in Rect.Corners() order. Corners are keyed by the bit patterns of their
+// coordinates, so only bit-identical points share an anchor (-0 and +0
+// stay apart): sharing never changes which point a catalog is built from.
+func staircaseAnchors(blocks []*index.Block, withCorners bool) (anchors []geom.Point, cornerOf [][4]int) {
+	anchors = make([]geom.Point, len(blocks), 2*len(blocks))
+	for i, b := range blocks {
+		anchors[i] = b.Bounds.Center()
+	}
+	if !withCorners {
+		return anchors, nil
+	}
+	type key struct{ x, y uint64 }
+	seen := make(map[key]int, len(blocks))
+	cornerOf = make([][4]int, len(blocks))
+	for _, b := range blocks {
+		for j, c := range b.Bounds.Corners() {
+			k := key{math.Float64bits(c.X), math.Float64bits(c.Y)}
+			a, ok := seen[k]
+			if !ok {
+				a = len(anchors)
+				anchors = append(anchors, c)
+				seen[k] = a
+			}
+			cornerOf[b.ID][j] = a
+		}
+	}
+	return anchors, cornerOf
 }
 
 // forEachBlock runs fn over blocks with the given parallelism (0 means

@@ -233,6 +233,23 @@ func (r *Relation) SeedPair(technique string, inner *Relation, v any) {
 	r.seed(r.seedKey(technique, inner, v), v)
 }
 
+// DropPairsExcept forgets every cached pair artifact whose inner relation
+// is not in live. An outer relation caches one pair artifact per inner
+// relation it is joined with, and the key holds the inner relation itself:
+// once an inner is replaced (a store publishing a compacted relation), its
+// stale entry would otherwise keep the retired inner, with its index and
+// every artifact, reachable for as long as the outer relation lives.
+func (r *Relation) DropPairsExcept(live map[*Relation]bool) {
+	c := r.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for key := range c.artifacts {
+		if key.inner != nil && !live[key.inner] {
+			delete(c.artifacts, key)
+		}
+	}
+}
+
 // seedKey mirrors the key each accessor uses: the density artifact is
 // resolution-free, every other artifact keys on the (projected)
 // resolution it reports.

@@ -76,6 +76,34 @@ func TestArtifactsBuildOnce(t *testing.T) {
 	}
 }
 
+func TestDropPairsExcept(t *testing.T) {
+	rel := NewRelation("r", testTree(t, 2000, 6), BuildOptions{MaxK: 100})
+	retired := NewRelation("s", testTree(t, 1500, 7), BuildOptions{MaxK: 100})
+	live := NewRelation("s", testTree(t, 1600, 8), BuildOptions{MaxK: 100})
+	stair, err := rel.Staircase(core.ModeCenterCorners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmRetired, err := rel.CatalogMerge(retired)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmLive, err := rel.CatalogMerge(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.DropPairsExcept(map[*Relation]bool{live: true})
+	if got, _ := rel.CatalogMerge(live); got != cmLive {
+		t.Error("pair artifact of a live inner was dropped")
+	}
+	if got, _ := rel.Staircase(core.ModeCenterCorners); got != stair {
+		t.Error("per-relation artifact was dropped")
+	}
+	if got, _ := rel.CatalogMerge(retired); got == cmRetired {
+		t.Error("pair artifact of a retired inner is still cached")
+	}
+}
+
 func TestSeedWins(t *testing.T) {
 	tree := testTree(t, 2000, 4)
 	rel := NewRelation("r", tree, BuildOptions{MaxK: 100})

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"knncost/internal/engine"
 	"knncost/internal/geom"
 	"knncost/internal/quadtree"
 	"knncost/internal/wal"
@@ -208,6 +211,43 @@ func TestVersionsMonotonicAcrossCompaction(t *testing.T) {
 			t.Fatalf("round %d: version %d after %d (must increase by exactly one per compaction)", round, v, last)
 		}
 		last = v
+	}
+}
+
+// Compacting one relation must let its retired snapshots go. Every other
+// relation's engine caches a pair artifact keyed by the inner relation, so
+// a stale entry would keep each predecessor reachable and the heap would
+// grow with every compaction.
+func TestCompactionReleasesRetiredSnapshots(t *testing.T) {
+	opt := testOptions(t)
+	opt.CompactThreshold = 1 << 20
+	opt.CompactInterval = -1
+	s := newTestStore(t, opt)
+	for i, name := range []string{"outer", "live"} {
+		if _, err := s.Register(name, gridPoints(150, int64(40+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitReady(t, s, "outer", "live")
+	const rounds = 4
+	var freed atomic.Int64
+	for round := 0; round < rounds; round++ {
+		runtime.SetFinalizer(s.View().Relation("live").Engine, func(*engine.Relation) { freed.Add(1) })
+		if _, err := s.Append("live", gridPoints(10, int64(50+round))); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Flush("live"); err != nil {
+			t.Fatal(err)
+		}
+		settle(t, s, "live")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < rounds && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := freed.Load(); n < rounds {
+		t.Fatalf("%d of %d retired engines of a compacted relation were collected", n, rounds)
 	}
 }
 

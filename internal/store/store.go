@@ -1177,6 +1177,16 @@ func (s *Store) republishLocked() {
 			v.merges[pair] = m
 		}
 	}
+	// Drop the pair artifacts the engines cached for inner relations this
+	// View retires; otherwise every compaction would leave its predecessor
+	// snapshot reachable from each other relation's engine.
+	live := make(map[*engine.Relation]bool, len(v.relations))
+	for _, snap := range v.relations {
+		live[snap.Engine] = true
+	}
+	for _, snap := range v.relations {
+		snap.Engine.DropPairsExcept(live)
+	}
 	// Seed every pair merge into the outer relation's engine so join
 	// technique resolution by name returns the store's merge object.
 	// SeedPair is first-value-wins, so re-seeding a carried-over pair on a

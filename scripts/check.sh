@@ -38,8 +38,8 @@ accuracy() {
 
 # Fuzz smoke: the seed corpus runs on plain `go test`; this additionally
 # explores new inputs for a couple of seconds per target — the oracle
-# differential targets, the AkNN targets, and every loader of bytes the
-# process reads back from its catalog cache.
+# differential targets, the AkNN targets, every loader of bytes the
+# process reads back from its catalog cache, and the write-ahead log replay.
 fuzz_smoke() {
 	$GO test -run xxx -fuzz FuzzEstimateSelect -fuzztime 2s ./internal/oracle/
 	$GO test -run xxx -fuzz FuzzJoinCost -fuzztime 2s ./internal/oracle/
@@ -49,6 +49,7 @@ fuzz_smoke() {
 	$GO test -run xxx -fuzz FuzzLoadStaircase -fuzztime 2s ./internal/core/
 	$GO test -run xxx -fuzz FuzzLoadCatalogMerge -fuzztime 2s ./internal/core/
 	$GO test -run xxx -fuzz FuzzLoadVirtualGrid -fuzztime 2s ./internal/core/
+	$GO test -run xxx -fuzz FuzzReplayWAL -fuzztime 2s ./internal/wal/
 }
 
 all() {
